@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -43,7 +43,6 @@ from repro.core.advisor import BrainyAdvisor
 from repro.core.darwin import DarwinResult, run_darwin
 from repro.core.report import Report
 from repro.machine.configs import ATOM, CORE2, MachineConfig
-from repro.machine.engine import validate_engine
 from repro.models.brainy import BrainySuite
 from repro.models.cache import (
     SCALES,
@@ -129,38 +128,14 @@ def resolve_config(config: str | Path | GeneratorConfig | None
 
 
 def _resolve_options(options: RunOptions | None,
-                     jobs: int | None,
-                     sim_engine: str | None = None) -> RunOptions:
+                     jobs: int | None) -> RunOptions:
     if options is None:
         options = RunOptions()
     if jobs is not None:
         if jobs < 1:
             raise UsageError("jobs must be >= 1")
         options = options.with_overrides(jobs=jobs)
-    if sim_engine is not None:
-        options = options.with_overrides(sim_engine=sim_engine)
-    if options.sim_engine is not None:
-        try:
-            validate_engine(options.sim_engine, "sim_engine")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     return options
-
-
-def _engine_machine(machine: MachineConfig,
-                    options: RunOptions) -> MachineConfig:
-    """Stamp the run's engine choice onto the machine config.
-
-    The config is what actually reaches every machine construction
-    site (``make_machine`` in appgen / apps), including pool workers,
-    so it is the carrier for ``RunOptions.sim_engine`` /
-    ``--sim-engine``.  Counters are bit-identical across engines, so a
-    restamped config changes wall-time only, never results.
-    """
-    if (options.sim_engine is None
-            or options.sim_engine == machine.sim_engine):
-        return machine
-    return replace(machine, sim_engine=options.sim_engine)
 
 
 @contextmanager
@@ -210,7 +185,6 @@ def train(machine: str | MachineConfig = "core2",
           resume: bool = False,
           options: RunOptions | None = None,
           jobs: int | None = None,
-          sim_engine: str | None = None,
           checkpoint_every: int | None = None,
           telemetry: str | Path | None = None) -> SuiteHandle:
     """Install-time training (Phase I + Phase II + ANN fit per group).
@@ -224,8 +198,7 @@ def train(machine: str | MachineConfig = "core2",
     """
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
-    options = _resolve_options(options, jobs, sim_engine)
-    machine = _engine_machine(machine, options)
+    options = _resolve_options(options, jobs)
     if checkpoint_every is not None:
         if checkpoint_every <= 0:
             raise UsageError("checkpoint_every must be positive")
@@ -252,8 +225,7 @@ def advise(app: str,
            batched: bool = True,
            options: RunOptions | None = None,
            jobs: int | None = None,
-           sim_engine: str | None = None,
-           telemetry: str | Path | None = None) -> Report:
+            telemetry: str | Path | None = None) -> Report:
     """Profile a case-study application and report replacements.
 
     Trains (or loads) the suite for ``machine``/``scale`` first, then
@@ -264,8 +236,7 @@ def advise(app: str,
     _load_apps()
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
-    options = _resolve_options(options, jobs, sim_engine)
-    machine = _engine_machine(machine, options)
+    options = _resolve_options(options, jobs)
     try:
         app_cls, inputs = APPS[app]
     except KeyError:
@@ -297,8 +268,7 @@ def darwin(app: str,
            population: int | None = None,
            objectives: tuple[str, ...] | None = None,
            seed: int = 0,
-           sim_engine: str | None = None,
-           resume: bool = False,
+            resume: bool = False,
            checkpoint: str | Path | None = None,
            checkpoint_every: int | None = None,
            budget_seconds: float | None = None,
@@ -335,7 +305,7 @@ def darwin(app: str,
     _load_apps()
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
-    options = _resolve_options(options, jobs, sim_engine)
+    options = _resolve_options(options, jobs)
     if generations is not None:
         options = options.with_overrides(darwin_generations=generations)
     if population is not None:
@@ -355,7 +325,6 @@ def darwin(app: str,
         options.validate_darwin()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    machine = _engine_machine(machine, options)
     try:
         app_cls, inputs = APPS[app]
     except KeyError:
@@ -408,14 +377,12 @@ def validate(group: str | ModelGroup = "vector_oo",
              seed_base: int = 500_000,
              options: RunOptions | None = None,
              jobs: int | None = None,
-             sim_engine: str | None = None,
-             telemetry: str | Path | None = None) -> ValidationResult:
+                telemetry: str | Path | None = None) -> ValidationResult:
     """The Figure 9 protocol: fresh apps, empirical best vs prediction."""
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
     group = resolve_group(group)
-    options = _resolve_options(options, jobs, sim_engine)
-    machine = _engine_machine(machine, options)
+    options = _resolve_options(options, jobs)
     meta = {"command": "validate", "group": group.name,
             "machine": machine.name, "scale": scale.name, "apps": apps}
     with _telemetry_run(telemetry, meta):
@@ -563,8 +530,7 @@ def pipeline(machine: str | MachineConfig = "core2",
              workdir: str | Path | None = None,
              options: RunOptions | None = None,
              jobs: int | None = None,
-             sim_engine: str | None = None,
-             fault_spec: str | None = None,
+                fault_spec: str | None = None,
              telemetry: str | Path | None = None,
              announce=None):
     """One unattended retraining cycle: appgen → train → validate →
@@ -585,8 +551,7 @@ def pipeline(machine: str | MachineConfig = "core2",
 
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
-    options = _resolve_options(options, jobs, sim_engine)
-    machine = _engine_machine(machine, options)
+    options = _resolve_options(options, jobs)
     try:
         options.validate_serving()
     except ValueError as exc:
@@ -691,14 +656,10 @@ def appgen_probe(seed: int,
                  group: str | ModelGroup = "vector_oo",
                  machine: str | MachineConfig = "core2",
                  config: str | Path | GeneratorConfig | None = None,
-                 *,
-                 sim_engine: str | None = None,
                  ) -> AppgenProbe:
     """Generate one synthetic app and measure every legal candidate."""
     group = resolve_group(group)
     machine = resolve_machine(machine)
-    machine = _engine_machine(
-        machine, _resolve_options(None, None, sim_engine))
     app = generate_app(seed, group, resolve_config(config))
     runtimes = measure_candidates(app, machine)
     return AppgenProbe(app=app, runtimes=runtimes,

@@ -68,8 +68,7 @@ class MachineConfig:
     # "auto" (vector for plain measurement runs, scalar when the run
     # is instrumented and reads counters after every container op).
     # Resolved by :func:`repro.machine.engine.resolve_engine`; the
-    # ``REPRO_SIM_ENGINE`` env var and ``RunOptions.sim_engine``
-    # override it.
+    # reference seam tests use to force the scalar oracle.
     sim_engine: str = "auto"
 
     @property

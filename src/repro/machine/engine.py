@@ -8,66 +8,45 @@ Two engines sit behind the same event API:
   events into a typed buffer and replays whole chunks through numpy
   decode plus one tight LRU loop, bit-identical counters.
 
-``auto`` (the default everywhere) picks per run: instrumented runs
-read ``snapshot_tuple()`` after every container operation, which would
-flush the recorder's buffer a handful of events at a time and erase
-the replay advantage — so ``auto`` resolves to ``scalar`` for them and
-to ``vector`` for plain measurement runs (the Phase I hot path).
-
-Selection precedence, strongest first:
-
-1. an explicit ``engine=`` argument (``--sim-engine`` / ``RunOptions``);
-2. the ``REPRO_SIM_ENGINE`` environment variable;
-3. ``MachineConfig.sim_engine`` (defaults to ``auto``).
+The run picks the engine: instrumented runs read ``snapshot_tuple()``
+after every container operation, which would flush the recorder's
+buffer a handful of events at a time and erase the replay advantage —
+so they get ``scalar``, and plain measurement runs (the Phase I hot
+path) get ``vector``.  ``MachineConfig.sim_engine`` (default ``auto``)
+is the one seam that forces an engine, so tests and golden recording
+can run the scalar engine as the reference oracle.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.machine.configs import MachineConfig
 from repro.machine.machine import Machine
 from repro.machine.vector import TraceRecorder
 
-#: Accepted values for every engine knob (config field, env var, CLI).
+#: Accepted values of ``MachineConfig.sim_engine``.
 VALID_ENGINES = ("scalar", "vector", "auto")
 
-_ENV_VAR = "REPRO_SIM_ENGINE"
 
-
-def validate_engine(engine: str, source: str = "sim_engine") -> str:
-    """Return ``engine`` or raise ``ValueError`` naming the valid set."""
+def resolve_engine(config: MachineConfig, *,
+                   instrumented: bool = False) -> str:
+    """Resolve the concrete engine ("scalar" or "vector") for one run."""
+    engine = config.sim_engine
     if engine not in VALID_ENGINES:
         raise ValueError(
-            f"{source}: unknown simulator engine {engine!r} "
-            f"(valid: {', '.join(VALID_ENGINES)})")
-    return engine
-
-
-def resolve_engine(config: MachineConfig, *, instrumented: bool = False,
-                   engine: str | None = None) -> str:
-    """Resolve the concrete engine ("scalar" or "vector") for one run."""
-    if engine is None:
-        engine = os.environ.get(_ENV_VAR) or config.sim_engine
-        source = (_ENV_VAR if os.environ.get(_ENV_VAR)
-                  else "MachineConfig.sim_engine")
-    else:
-        source = "engine"
-    validate_engine(engine, source)
+            f"MachineConfig.sim_engine: unknown simulator engine "
+            f"{engine!r} (valid: {', '.join(VALID_ENGINES)})")
     if engine == "auto":
         return "scalar" if instrumented else "vector"
     return engine
 
 
-def make_machine(config: MachineConfig, *, instrumented: bool = False,
-                 engine: str | None = None):
+def make_machine(config: MachineConfig, *, instrumented: bool = False):
     """Build the simulator for one run under the resolved engine.
 
     Returns a :class:`Machine` or an API-compatible
     :class:`TraceRecorder`; callers treat the result uniformly (both
     expose ``engine`` as an attribute for telemetry).
     """
-    if resolve_engine(config, instrumented=instrumented,
-                      engine=engine) == "vector":
+    if resolve_engine(config, instrumented=instrumented) == "vector":
         return TraceRecorder(config)
     return Machine(config)

@@ -52,11 +52,6 @@ class RunOptions:
         A :class:`repro.obs.Collector` activated for the run's duration;
         ``None`` leaves whatever collector is already active (the null
         collector by default).
-    sim_engine:
-        Simulator engine for every machine the run builds: ``"scalar"``,
-        ``"vector"`` or ``"auto"`` (``None`` defers to the
-        ``REPRO_SIM_ENGINE`` env var, then ``MachineConfig.sim_engine``;
-        see :mod:`repro.machine.engine` for the resolution rules).
     deadline_seconds:
         Serving: per-request wall budget; a request that misses it is
         answered with the Perflint baseline flagged
@@ -127,7 +122,6 @@ class RunOptions:
     retry_policy: RetryPolicy | None = None
     seed_budget_seconds: float | None = None
     telemetry: object | None = None
-    sim_engine: str | None = None
     # -- serving knobs (defaults live here; see the class docstring) -----
     deadline_seconds: float = 2.0
     queue_depth: int = 32

@@ -206,12 +206,6 @@ class TestResetRegression:
 
 
 class TestEngineSelection:
-    @pytest.fixture(autouse=True)
-    def _no_engine_env(self, monkeypatch):
-        # These tests pin auto/config-level resolution; a CI leg that
-        # exports REPRO_SIM_ENGINE would (correctly) override both.
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-
     def test_auto_resolution(self):
         assert resolve_engine(CORE2) == "vector"
         assert resolve_engine(CORE2, instrumented=True) == "scalar"
@@ -220,20 +214,15 @@ class TestEngineSelection:
                           Machine)
 
     def test_config_field_and_explicit_override(self):
+        """``MachineConfig.sim_engine`` is the one explicit override of
+        the instrumented/measurement choice."""
         scalar_cfg = replace(CORE2, sim_engine="scalar")
         assert resolve_engine(scalar_cfg) == "scalar"
-        assert resolve_engine(scalar_cfg, engine="vector") == "vector"
+        assert isinstance(make_machine(scalar_cfg), Machine)
+        vector_cfg = replace(CORE2, sim_engine="vector")
+        assert resolve_engine(vector_cfg, instrumented=True) == "vector"
         with pytest.raises(ValueError, match="valid: scalar, vector"):
-            resolve_engine(CORE2, engine="turbo")
-
-    def test_env_var_overrides_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
-        assert resolve_engine(CORE2) == "scalar"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "vector")
-        assert resolve_engine(CORE2, instrumented=True) == "vector"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
-        with pytest.raises(ValueError, match="REPRO_SIM_ENGINE"):
-            resolve_engine(CORE2)
+            resolve_engine(replace(CORE2, sim_engine="turbo"))
 
     def test_engine_tags_for_telemetry(self):
         assert Machine(CORE2).engine == "scalar"
@@ -248,11 +237,7 @@ class TestPhase1ArtifactIdentity:
     """Tentpole proof: Phase I artifacts are byte-identical whichever
     engine measured the candidate runtimes."""
 
-    def test_artifact_sha256_equal_across_engines(self, tmp_path,
-                                                  monkeypatch):
-        # An exported REPRO_SIM_ENGINE would force both runs onto one
-        # engine and make this comparison vacuous.
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+    def test_artifact_sha256_equal_across_engines(self, tmp_path):
         digests = {}
         for engine in ("scalar", "vector"):
             config = replace(CORE2, sim_engine=engine)
