@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.containers.registry import DSKind, MODEL_GROUPS
 from repro.core.advisor import BrainyAdvisor
+from repro.core.testing import advise_sequential
 from repro.instrumentation.features import FEATURE_NAMES, num_features
 from repro.instrumentation.trace import TraceRecord, TraceSet
 from repro.ml.ann import NeuralNetwork, _one_hot
@@ -227,18 +228,18 @@ def bench_advisor(quick: bool) -> dict:
     advisor = BrainyAdvisor(_synthetic_suite())
     trace = _synthetic_trace(n)
 
-    sequential = advisor.advise_trace(trace, batched=False)
-    batched = advisor.advise_trace(trace, batched=True)
+    sequential = advise_sequential(advisor, trace)
+    batched = advisor.advise_trace(trace)
     if (batched.suggestions != sequential.suggestions
             or batched.degraded_groups != sequential.degraded_groups):
         raise AssertionError("batched report differs from per-record")
 
     per_record_s = min(
-        _timed(lambda: advisor.advise_trace(trace, batched=False))
+        _timed(lambda: advise_sequential(advisor, trace))
         for _ in range(repeats)
     )
     batched_s = min(
-        _timed(lambda: advisor.advise_trace(trace, batched=True))
+        _timed(lambda: advisor.advise_trace(trace))
         for _ in range(repeats)
     )
     row = {

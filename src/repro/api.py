@@ -222,7 +222,6 @@ def advise(app: str,
            machine: str | MachineConfig = "core2",
            scale: str | ScaleParams = "small",
            *,
-           batched: bool = True,
            options: RunOptions | None = None,
            jobs: int | None = None,
             telemetry: str | Path | None = None) -> Report:
@@ -230,8 +229,6 @@ def advise(app: str,
 
     Trains (or loads) the suite for ``machine``/``scale`` first, then
     runs the app instrumented and feeds the trace to the advisor.
-    ``batched=False`` selects the record-at-a-time reference inference
-    path (identical report, slower).
     """
     _load_apps()
     machine = resolve_machine(machine)
@@ -253,8 +250,7 @@ def advise(app: str,
     with _telemetry_run(telemetry, meta):
         suite = get_or_train_suite(machine, scale, options=options)
         advisor = BrainyAdvisor(suite)
-        return advisor.advise_app(app_cls(input_name), machine,
-                                  batched=batched)
+        return advisor.advise_app(app_cls(input_name), machine)
 
 
 def darwin(app: str,

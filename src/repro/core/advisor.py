@@ -145,16 +145,6 @@ class BrainyAdvisor:
             return model.predict_kinds(rows, legal_masks=masks)
         return self._infer(group_name, model, rows, masks)
 
-    def _infer_record(self, group_name: str, model: BrainyModel,
-                      features: np.ndarray,
-                      legal: tuple[DSKind, ...]) -> DSKind:
-        """One record's inference through the same seam as the batch."""
-        if self._infer is None:
-            return model.predict_kind(features, legal=legal)
-        rows = np.asarray(features, dtype=np.float64).reshape(1, -1)
-        masks = model.legal_mask(legal).reshape(1, -1)
-        return self._infer(group_name, model, rows, masks)[0]
-
     def baseline_report(self, trace: TraceSet,
                         keyed_contexts: frozenset[str] = frozenset(),
                         *, reason: str) -> Report:
@@ -189,85 +179,27 @@ class BrainyAdvisor:
         return report
 
     def advise_trace(self, trace: TraceSet,
-                     keyed_contexts: frozenset[str] = frozenset(),
-                     *, batched: bool = True) -> Report:
+                     keyed_contexts: frozenset[str] = frozenset()
+                     ) -> Report:
         """Turn a profiled run's trace into a prioritised report.
 
-        The default ``batched`` path groups records by model group and
-        runs one vectorized forward pass per group (with legality masks
-        precomputed per distinct usage shape) — the Report is identical
-        to the record-at-a-time reference path, which
-        ``batched=False`` keeps for comparison and debugging.
+        Records are grouped by model group and each group runs one
+        vectorized forward pass (with legality masks precomputed per
+        distinct usage shape); suggestions come back in trace order.
+        This is the single-trace view of :meth:`advise_traces`.
         """
-        with obs.span("advise", batched=batched):
-            if batched:
-                report = self._advise_batched(trace, keyed_contexts)
-            else:
-                report = self._advise_sequential(trace, keyed_contexts)
+        with obs.span("advise"):
+            report = self.advise_traces([(trace, keyed_contexts)])[0]
             obs.counter("advise.records", len(trace))
             obs.counter("advise.suggestions", len(report.suggestions))
             obs.counter("advise.degraded", len(report.degraded_groups))
             return report
 
-    def _advise_sequential(self, trace: TraceSet,
-                           keyed_contexts: frozenset[str]) -> Report:
-        """Record-at-a-time inference: the batched path's reference."""
-        report = Report(program_cycles=trace.program_cycles)
-        for record in trace:
-            keyed = record.context in keyed_contexts or getattr(
-                record, "keyed", False
-            )
-            if record.kind not in _ADVISABLE:
-                continue
-            group = model_group_for(record.kind, record.order_oblivious)
-            legal = candidates_for(record.kind, record.order_oblivious)
-            degraded = (group.name not in self.suite.models
-                        or group.name in self.suite.degraded)
-            if degraded:
-                suggested = self._baseline_suggest(
-                    record.kind, record.features, legal
-                )
-                report.mark_degraded(group.name,
-                                     DEGRADED_MODEL_UNAVAILABLE)
-            else:
-                model = self.suite[group.name]
-                try:
-                    suggested = self._infer_record(
-                        group.name, model, record.features, legal
-                    )
-                except InferenceUnavailable as exc:
-                    suggested = self._baseline_suggest(
-                        record.kind, record.features, legal
-                    )
-                    report.mark_degraded(group.name, exc.reason)
-                    degraded = True
-            if keyed:
-                suggested = as_map_kind(suggested)
-            report.suggestions.append(
-                self._suggestion(record, suggested, keyed,
-                                 trace.program_cycles, degraded)
-            )
-        return report
-
-    def _advise_batched(self, trace: TraceSet,
-                        keyed_contexts: frozenset[str]) -> Report:
-        """One vectorized ``predict_proba`` per model group.
-
-        Per-record work is reduced to routing and mask lookup; the
-        scaler pass, the network forward pass, and the legality-masked
-        argmax all run once per group over a stacked feature matrix.
-        Suggestions are emitted in trace order, so the Report is
-        identical to :meth:`_advise_sequential`'s.  This is the
-        single-trace view of :meth:`advise_traces`.
-        """
-        return self.advise_traces([(trace, keyed_contexts)])[0]
-
     def advise_traces(self, batch: "list[tuple[TraceSet, frozenset[str]]]"
                       ) -> list[Report]:
         """Many traces, one vectorized forward pass per model group.
 
-        The multi-trace generalization of the batched advise path — the
-        serving runtime's micro-batching stage feeds whole *requests*
+        The serving runtime's micro-batching stage feeds whole *requests*
         through here so that queued requests coalesced within a batch
         window share the scaler and network passes.  Records from every
         trace are stacked per model group, inferred together, and fanned
@@ -384,17 +316,14 @@ class BrainyAdvisor:
         )
 
     def advise_app(self, app: CaseStudyApp,
-                   machine_config: MachineConfig,
-                   *, batched: bool = True) -> Report:
+                   machine_config: MachineConfig) -> Report:
         """Profile a case-study app with its baseline containers and
         report replacements."""
         result = run_case_study(app, machine_config, instrument=True)
-        return self.advise_result(app, result, batched=batched)
+        return self.advise_result(app, result)
 
-    def advise_result(self, app: CaseStudyApp, result: AppResult,
-                      *, batched: bool = True) -> Report:
+    def advise_result(self, app: CaseStudyApp, result: AppResult) -> Report:
         keyed = frozenset(
             f"{app.name}:{site.name}" for site in app.sites() if site.keyed
         )
-        return self.advise_trace(result.trace(), keyed_contexts=keyed,
-                                 batched=batched)
+        return self.advise_trace(result.trace(), keyed_contexts=keyed)

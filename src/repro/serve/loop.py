@@ -594,7 +594,7 @@ class AdvisorService:
         else:
             advisor = self._advisor  # one suite generation per request
         start = self._clock()
-        if self._batcher is not None and request.batched:
+        if self._batcher is not None:
             # Micro-batched path: coalesce with concurrent requests for
             # the same advisor; one vectorized pass per flushed batch.
             task = self._batcher.try_submit(
@@ -602,9 +602,7 @@ class AdvisorService:
         else:
             task = self._dispatcher.try_submit(
                 lambda: advisor.advise_trace(
-                    request.trace, request.keyed_contexts,
-                    batched=request.batched,
-                )
+                    request.trace, request.keyed_contexts)
             )
         self.metrics.gauge(
             "serve.queue_depth",

@@ -21,6 +21,9 @@ object on its own line, in request order.  Ops:
   machine preset); promote also takes ``force`` to bypass the shadow
   gates (validation and strict load still apply).
 
+Unknown request fields are ignored, so a client that still sends the
+retired ``batched`` flag gets the same answer as one that does not.
+
 Advise requests may carry a ``tag`` as well — in registry mode it
 routes the request to that key's live suite; unknown tags answer
 ``error``, and in single-suite mode any tag is rejected the same way.
@@ -78,7 +81,6 @@ class AdviseRequest:
     #: Per-request deadline override; ``None`` uses the service default
     #: (``RunOptions.deadline_seconds``).
     deadline_seconds: float | None = None
-    batched: bool = True
     #: Registry-mode routing tag (``machine/corpus`` key or a unique
     #: machine preset name); empty routes to the default key.
     tag: str = ""
@@ -101,7 +103,6 @@ class AdviseRequest:
             keyed_contexts=frozenset(payload.get("keyed_contexts", ())),
             request_id=str(payload.get("id", "")),
             deadline_seconds=deadline,
-            batched=bool(payload.get("batched", True)),
             tag=str(payload.get("tag", "")),
         )
 
@@ -113,8 +114,6 @@ class AdviseRequest:
             payload["id"] = self.request_id
         if self.deadline_seconds is not None:
             payload["deadline_seconds"] = self.deadline_seconds
-        if not self.batched:
-            payload["batched"] = False
         if self.tag:
             payload["tag"] = self.tag
         return payload

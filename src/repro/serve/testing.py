@@ -93,11 +93,11 @@ def make_mixed_trace(per_group: int = 1, *, seed: int = 0,
 
 def advise_payload(trace: TraceSet, *, request_id: str = "r1",
                    deadline_seconds: float | None = None,
-                   batched: bool = True, tag: str = "") -> dict:
+                   tag: str = "") -> dict:
     """An ``advise`` request payload ready for the wire or
     :meth:`~repro.serve.loop.AdvisorService.handle_payload`."""
     payload: dict = {"op": "advise", "id": request_id,
-                     "trace": trace.to_payload(), "batched": batched}
+                     "trace": trace.to_payload()}
     if deadline_seconds is not None:
         payload["deadline_seconds"] = deadline_seconds
     if tag:

@@ -9,6 +9,7 @@ from repro.apps.relipmoc import Relipmoc
 from repro.containers.registry import DSKind, MODEL_GROUPS
 from repro.core.advisor import BrainyAdvisor
 from repro.core.report import Report, Suggestion
+from repro.core.testing import advise_sequential
 from repro.instrumentation.features import num_features
 from repro.instrumentation.trace import TraceRecord, TraceSet
 from repro.machine.configs import CORE2
@@ -151,8 +152,8 @@ class TestBatchedEquivalence:
         advisor = BrainyAdvisor(suite)
         trace = mixed_trace()
         self.assert_reports_equal(
-            advisor.advise_trace(trace, batched=True),
-            advisor.advise_trace(trace, batched=False),
+            advisor.advise_trace(trace),
+            advise_sequential(advisor, trace),
         )
 
     def test_keyed_contexts_argument(self, suite):
@@ -160,10 +161,8 @@ class TestBatchedEquivalence:
         trace = mixed_trace(n=24)
         keyed = frozenset(r.context for r in list(trace)[::4])
         self.assert_reports_equal(
-            advisor.advise_trace(trace, keyed_contexts=keyed,
-                                 batched=True),
-            advisor.advise_trace(trace, keyed_contexts=keyed,
-                                 batched=False),
+            advisor.advise_trace(trace, keyed_contexts=keyed),
+            advise_sequential(advisor, trace, keyed),
         )
 
     def test_degraded_suite(self, suite):
@@ -174,8 +173,8 @@ class TestBatchedEquivalence:
         del partial.models["vector_oo"]
         advisor = BrainyAdvisor(partial)
         trace = mixed_trace()
-        batched = advisor.advise_trace(trace, batched=True)
-        sequential = advisor.advise_trace(trace, batched=False)
+        batched = advisor.advise_trace(trace)
+        sequential = advise_sequential(advisor, trace)
         assert "vector_oo" in batched.degraded_groups
         self.assert_reports_equal(batched, sequential)
 
@@ -184,9 +183,11 @@ class TestBatchedEquivalence:
     def test_case_study_apps(self, suite, app):
         advisor = BrainyAdvisor(suite)
         result = run_case_study(app, CORE2, instrument=True)
+        keyed = frozenset(f"{app.name}:{site.name}"
+                          for site in app.sites() if site.keyed)
         self.assert_reports_equal(
-            advisor.advise_result(app, result, batched=True),
-            advisor.advise_result(app, result, batched=False),
+            advisor.advise_result(app, result),
+            advise_sequential(advisor, result.trace(), keyed),
         )
 
 

@@ -14,15 +14,18 @@ concurrent failures.
 
 import json
 import threading
+import time
 
 import pytest
 
 from repro.containers.registry import DSKind
 from repro.core.advisor import BrainyAdvisor
+from repro.core.testing import advise_sequential
 from repro.runtime.faults import DEGRADED_BREAKER, DEGRADED_DEADLINE
 from repro.runtime.inject import ServeFaultInjector, ServeFaultPlan
 from repro.runtime.options import RunOptions
 from repro.serve import AdviseRequest, AdvisorService, MicroBatcher, OPEN
+from repro.serve.protocol import decode_line, encode
 from repro.serve.testing import (
     advise_payload,
     make_mixed_trace,
@@ -78,7 +81,7 @@ class TestAdvisorBatchEntryPoint:
         advisor = BrainyAdvisor(suite)
         trace = make_mixed_trace(2, seed=11)
         [report] = advisor.advise_traces([(trace, frozenset())])
-        reference = advisor.advise_trace(trace, batched=False)
+        reference = advise_sequential(advisor, trace)
         assert canon(report.to_payload()) == canon(reference.to_payload())
 
 
@@ -169,10 +172,11 @@ class TestBatchedByteIdentity:
         reference, batched = services()
         answers = []
         for service in (reference, batched):
-            # Trip the vector_oo breaker (batched=False sidesteps the
-            # batcher so the trip itself is identical on both services).
+            # Trip the vector_oo breaker with one lone request; on the
+            # batching service it flushes on its window timer as a batch
+            # of one, so the trip is identical on both services.
             trip = AdviseRequest.from_payload(advise_payload(
-                make_trace(1, seed=0), batched=False))
+                make_trace(1, seed=0)))
             assert service.submit(trip).status == "degraded"
             assert service.breaker("vector_oo").state == OPEN
             requests = [
@@ -186,6 +190,31 @@ class TestBatchedByteIdentity:
             assert want.degraded == got.degraded == DEGRADED_BREAKER
             assert canon(got.report.to_payload()) \
                 == canon(want.report.to_payload())
+
+
+class TestRetiredBatchedField:
+    """Older clients may still send the retired ``batched`` flag on the
+    wire: the request decodes and is answered exactly as without it."""
+
+    @pytest.mark.parametrize("window_ms", [0.0, 20.0])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_old_client_request_answers_byte_identically(
+            self, suite, window_ms, flag):
+        service = AdvisorService(
+            suite=suite, workers=2,
+            options=RunOptions(batch_window_ms=window_ms),
+        )
+        try:
+            for seed in range(3):
+                current = advise_payload(make_mixed_trace(2, seed=seed),
+                                         request_id=f"w{seed}")
+                old = decode_line(encode(dict(current, batched=flag)))
+                want = service.handle_payload(current)
+                got = service.handle_payload(old)
+                assert got["status"] == "ok"
+                assert encode(got) == encode(want)
+        finally:
+            service.drain()
 
 
 class TestBatchMechanics:
@@ -216,30 +245,43 @@ class TestBatchMechanics:
         service = AdvisorService(
             suite=suite, workers=1,
             options=RunOptions(deadline_seconds=30.0, queue_depth=2,
-                               batch_window_ms=100.0, batch_max=8),
+                               batch_window_ms=500.0, batch_max=8),
             inference=injector.wrap_inference(),
         )
+        # A lone request flushes on its window timer and parks the
+        # single worker in slow inference.
+        blocker = threading.Thread(
+            target=service.submit,
+            args=(AdviseRequest.from_payload(advise_payload(
+                make_trace(1), deadline_seconds=20.0)),),
+            daemon=True)
         try:
-            # Occupy the single worker, then fill the queue: admission
-            # still has room for 2 more batched requests (depth 2), but
-            # their flush will find no queue slot.
-            blocker = threading.Thread(
-                target=service.submit,
-                args=(AdviseRequest.from_payload(advise_payload(
-                    make_trace(1), batched=False,
-                    deadline_seconds=20.0)),),
-                daemon=True)
             blocker.start()
             assert injector.started.wait(10.0)
-            assert service._dispatcher.try_submit(lambda: None) is not None
-            assert service._dispatcher.try_submit(lambda: None) is not None
-
+            # Nothing is queued, so admission lets 2 requests coalesce
+            # (depth 2) into one open window ...
             requests = [
                 AdviseRequest.from_payload(advise_payload(
                     make_trace(2, seed=i), request_id=f"s{i}"))
                 for i in range(2)
             ]
-            responses = submit_concurrently(service, requests)
+            responses = []
+            submitter = threading.Thread(
+                target=lambda: responses.extend(
+                    submit_concurrently(service, requests)),
+                daemon=True)
+            submitter.start()
+            deadline = time.monotonic() + 10.0
+            while (service._batcher.pending < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            assert service._batcher.pending == 2
+            # ... and the queue fills before the window closes, so the
+            # flush finds no queue slot.
+            assert service._dispatcher.try_submit(lambda: None) is not None
+            assert service._dispatcher.try_submit(lambda: None) is not None
+            submitter.join(timeout=30.0)
+            assert len(responses) == 2
             assert all(r.status == "overloaded" for r in responses)
             assert all(r.report is None for r in responses)
             assert service.metrics.counter_value("serve.shed") == 2
@@ -367,8 +409,9 @@ class TestBreakerIsolationUnderConcurrentFailures:
                                breaker_threshold=1),
             inference=injector.wrap_inference(),
         )
-        trip = AdviseRequest.from_payload(advise_payload(
-            make_trace(1), batched=False))
+        # A lone request flushes on its window timer and trips the
+        # breaker (threshold 1) before the mixed batch arrives.
+        trip = AdviseRequest.from_payload(advise_payload(make_trace(1)))
         assert service.submit(trip).status == "degraded"
         assert service.breaker("vector_oo").state == OPEN
 

@@ -20,6 +20,7 @@ from repro.containers.registry import (
     model_group_for,
 )
 from repro.core.advisor import BrainyAdvisor, _stats_from_features
+from repro.core.testing import advise_sequential
 from repro.instrumentation.features import num_features
 from repro.instrumentation.trace import TraceRecord, TraceSet
 from repro.models.perflint import SUPPORTED, PerflintModel, _TERMS
@@ -137,8 +138,8 @@ class TestBaselinePathMatchesPerflintDirectly:
             raise InferenceUnavailable(DEGRADED_BREAKER)
 
         advisor = BrainyAdvisor(_SUITE, infer=refuse)
-        batched = advisor.advise_trace(trace, batched=True)
-        sequential = advisor.advise_trace(trace, batched=False)
+        batched = advisor.advise_trace(trace)
+        sequential = advise_sequential(advisor, trace)
         assert (json.dumps(batched.to_payload(), sort_keys=True)
                 == json.dumps(sequential.to_payload(), sort_keys=True))
 
