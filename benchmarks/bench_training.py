@@ -49,6 +49,7 @@ from repro.machine.configs import CORE2, CORE2_FULL, MachineConfig
 from repro.machine.machine import Machine
 from repro.machine.testing import machine_state
 from repro.machine.vector import TraceRecorder
+from repro.runtime.options import RunOptions
 from repro.training.phase1 import run_phase1
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -380,7 +381,8 @@ def bench_phase1(quick: bool, jobs_list: list[int],
     checksums = set()
     for jobs in jobs_list:
         start = time.perf_counter()
-        result = run_phase1(group, config, CORE2, jobs=jobs, **kwargs)
+        result = run_phase1(group, config, CORE2,
+                            options=RunOptions(jobs=jobs), **kwargs)
         elapsed = time.perf_counter() - start
         artifact = scratch / f"phase1-jobs{jobs}.json"
         result.save(artifact)
@@ -421,7 +423,6 @@ TELEMETRY_OVERHEAD_CEILING_PCT = 3.0
 
 def bench_telemetry_overhead(quick: bool) -> dict:
     from repro.obs import Collector
-    from repro.runtime.options import RunOptions
 
     group = MODEL_GROUPS["set"]
     config = GeneratorConfig.small()

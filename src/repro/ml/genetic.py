@@ -17,16 +17,12 @@ same RNG draw order, same chromosomes, same history — a property the
 test suite pins against a frozen copy of the pre-refactor code.
 
 Strategies are swappable: pass ``ancestry=`` / ``crossover=`` /
-``mutation=`` objects.  The old numeric tuning kwargs (``tournament``,
-``crossover_rate``, ``mutation_rate``, ``mutation_sigma``) keep working
-for one release under a ``DeprecationWarning``; passing a numeric kwarg
-*and* its strategy object is a ``TypeError``, mirroring the
-``resolve_run_options`` contract.
+``mutation=`` objects (e.g. ``TournamentAncestry(size)``,
+``UniformCrossover(rate)``, ``GaussianMutation(rate, sigma)``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +41,6 @@ from repro.ml.strategies import (
 from typing import Callable
 
 FitnessFn = Callable[[np.ndarray], float]
-
-#: Deprecated numeric kwarg -> the strategy kwarg that replaces it.
-_LEGACY_STRATEGY_KNOBS = {
-    "tournament": "ancestry",
-    "crossover_rate": "crossover",
-    "mutation_rate": "mutation",
-    "mutation_sigma": "mutation",
-}
 
 
 @dataclass
@@ -88,56 +76,19 @@ class GeneticFeatureSelector:
     """Evolve per-feature weights maximising a fitness function."""
 
     def __init__(self, n_features: int, feature_names: tuple[str, ...],
-                 population: int = 16, generations: int = 12,
-                 tournament: int | None = None,
-                 crossover_rate: float | None = None,
-                 mutation_rate: float | None = None,
-                 mutation_sigma: float | None = None,
-                 elitism: int = 2, seed: int = 0, *,
+                 population: int = 16, generations: int = 12, *,
+                 elitism: int = 2, seed: int = 0,
                  ancestry: Ancestry | None = None,
                  crossover: Crossover | None = None,
                  mutation: Mutation | None = None) -> None:
         if n_features != len(feature_names):
             raise ValueError("feature_names length must match n_features")
-        legacy = {"tournament": tournament,
-                  "crossover_rate": crossover_rate,
-                  "mutation_rate": mutation_rate,
-                  "mutation_sigma": mutation_sigma}
-        strategies = {"ancestry": ancestry, "crossover": crossover,
-                      "mutation": mutation}
-        supplied = sorted(k for k, v in legacy.items() if v is not None)
-        conflicts = sorted(
-            k for k in supplied
-            if strategies[_LEGACY_STRATEGY_KNOBS[k]] is not None
-        )
-        if conflicts:
-            raise TypeError(
-                "pass GA tuning either via strategy objects ("
-                + ", ".join(sorted({_LEGACY_STRATEGY_KNOBS[k] + "="
-                                    for k in conflicts}))
-                + ") or via the legacy keywords, not both: "
-                + ", ".join(conflicts)
-            )
-        if supplied:
-            warnings.warn(
-                "passing " + ", ".join(supplied) + " directly is "
-                "deprecated; pass strategy objects instead ("
-                "ancestry=TournamentAncestry(size), "
-                "crossover=UniformCrossover(rate), "
-                "mutation=GaussianMutation(rate, sigma))",
-                DeprecationWarning, stacklevel=2,
-            )
         if ancestry is None:
-            ancestry = TournamentAncestry(
-                3 if tournament is None else tournament)
+            ancestry = TournamentAncestry(3)
         if crossover is None:
-            crossover = UniformCrossover(
-                0.7 if crossover_rate is None else crossover_rate)
+            crossover = UniformCrossover(0.7)
         if mutation is None:
-            mutation = GaussianMutation(
-                rate=0.15 if mutation_rate is None else mutation_rate,
-                sigma=0.25 if mutation_sigma is None else mutation_sigma,
-            )
+            mutation = GaussianMutation(rate=0.15, sigma=0.25)
         self._search = GeneticSearch(
             n_features, population=population, generations=generations,
             ancestry=ancestry, crossover=crossover, mutation=mutation,

@@ -39,7 +39,7 @@ from repro.runtime.artifacts import (
 )
 from repro.runtime.checkpoint import TrainingInterrupted
 from repro.runtime.faults import RetryPolicy
-from repro.runtime.options import RunOptions, resolve_run_options
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import map_retry, resolve_jobs, usable_jobs
 from repro.training.dataset import TrainingSet
 from repro.training.phase1 import run_phase1
@@ -371,10 +371,6 @@ class BrainySuite:
               checkpoint_dir: str | Path | None = None,
               resume: bool = False,
               options: RunOptions | None = None,
-              checkpoint_every: int | None = None,
-              retry_policy: RetryPolicy | None = None,
-              seed_budget_seconds: float | None = None,
-              jobs: int | None = None,
               executor=None,
               ) -> "BrainySuite":
         """End-to-end training: Phase I + Phase II + ANN fit per group.
@@ -387,8 +383,7 @@ class BrainySuite:
         suite trains successfully.
 
         Cross-cutting run knobs (``jobs``, ``checkpoint_every``, fault
-        tuning, ``telemetry``) arrive via ``options=RunOptions(...)``;
-        the matching bare keywords are the deprecated spelling.
+        tuning, ``telemetry``) arrive via ``options=RunOptions(...)``.
 
         ``RunOptions.jobs`` parallelises training (``None`` reads
         ``REPRO_JOBS``, default serial).  With several groups, whole
@@ -406,11 +401,7 @@ class BrainySuite:
             else list(MODEL_GROUPS.values())
         checkpoint_dir = (Path(checkpoint_dir)
                           if checkpoint_dir is not None else None)
-        options = resolve_run_options(
-            options, jobs=jobs, checkpoint_every=checkpoint_every,
-            retry_policy=retry_policy,
-            seed_budget_seconds=seed_budget_seconds,
-        )
+        options = options or RunOptions()
         checkpoint_every = options.checkpoint_every
         retry_policy = options.retry_policy
         seed_budget_seconds = options.seed_budget_seconds

@@ -2,14 +2,11 @@
 
 The training entry points (:func:`repro.training.phase1.run_phase1`,
 :func:`repro.training.phase2.run_phase2`,
-:meth:`repro.models.brainy.BrainySuite.train`) historically grew one
-keyword per knob — ``jobs``, ``window``, ``checkpoint_every``, the
-fault-injection tuning (``retry_policy`` / ``seed_budget_seconds``), and
-now ``telemetry``.  They all collapse into a single immutable
-:class:`RunOptions` value accepted as ``options=``; the old kwarg
-spellings keep working for one release through
-:func:`resolve_run_options`, which folds them in under a
-``DeprecationWarning``.
+:meth:`repro.models.brainy.BrainySuite.train` and the
+:mod:`repro.models.cache` loaders) take their cross-cutting knobs —
+``jobs``, ``window``, ``checkpoint_every``, the fault-injection tuning
+(``retry_policy`` / ``seed_budget_seconds``) and ``telemetry`` — as one
+immutable :class:`RunOptions` value passed as ``options=``.
 
 The serving runtime (:mod:`repro.serve`) reads its knobs from the same
 object — :attr:`RunOptions.deadline_seconds`,
@@ -23,14 +20,9 @@ defaults are defined and documented.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.runtime.faults import RetryPolicy
-
-#: Knob names the legacy shim recognises (also used by the tests).
-LEGACY_KNOBS = ("jobs", "window", "checkpoint_every", "retry_policy",
-                "seed_budget_seconds")
 
 
 @dataclass(frozen=True)
@@ -221,45 +213,3 @@ class RunOptions:
             raise ValueError("; ".join(problems))
         return self
 
-
-#: Every knob name a RunOptions carries (legacy and current spellings).
-KNOWN_KNOBS: tuple[str, ...] = tuple(f.name for f in fields(RunOptions))
-
-
-def resolve_run_options(options: RunOptions | None,
-                        stacklevel: int = 3,
-                        **legacy: object) -> RunOptions:
-    """Collapse legacy kwarg spellings into a :class:`RunOptions`.
-
-    ``legacy`` holds the values of the deprecated keywords exactly as the
-    caller received them (``None`` meaning "not passed").  Passing any of
-    them alongside an explicit ``options`` is an error — the two
-    spellings must not silently fight; passing them *instead of*
-    ``options`` works but warns.  A keyword that is not a
-    :class:`RunOptions` knob at all raises the same ``TypeError``
-    contract in either spelling, naming the offender and the valid
-    knobs, instead of surfacing as a dataclass constructor error.
-    """
-    unknown = sorted(set(legacy) - set(KNOWN_KNOBS))
-    if unknown:
-        raise TypeError(
-            "unknown run option(s) " + ", ".join(unknown)
-            + "; valid knobs: " + ", ".join(KNOWN_KNOBS)
-        )
-    supplied = {name: value for name, value in legacy.items()
-                if value is not None}
-    if options is not None:
-        if supplied:
-            raise TypeError(
-                "pass run knobs either via options=RunOptions(...) or "
-                "via the legacy keywords, not both: "
-                + ", ".join(sorted(supplied))
-            )
-        return options
-    if supplied:
-        warnings.warn(
-            "passing " + ", ".join(sorted(supplied)) + " directly is "
-            "deprecated; pass options=RunOptions(...) instead",
-            DeprecationWarning, stacklevel=stacklevel,
-        )
-    return RunOptions(**supplied)

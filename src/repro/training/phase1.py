@@ -49,7 +49,7 @@ from repro.runtime.faults import (
     classify,
     run_guarded,
 )
-from repro.runtime.options import RunOptions, resolve_run_options
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import (
     TaskFailure,
     map_ordered,
@@ -279,13 +279,8 @@ def run_phase1(group: ModelGroup,
                resume_from: Phase1Checkpoint | str | Path | None = None,
                checkpoint_path: str | Path | None = None,
                options: RunOptions | None = None,
-               checkpoint_every: int | None = None,
-               retry_policy: RetryPolicy | None = None,
-               seed_budget_seconds: float | None = None,
                generate_fn: Callable | None = None,
                measure_fn: Callable | None = None,
-               jobs: int | None = None,
-               window: int | None = None,
                executor=None,
                ) -> Phase1Result:
     """Algorithm 1: collect ``(seed, best DS)`` pairs for one model group.
@@ -313,10 +308,7 @@ def run_phase1(group: ModelGroup,
         The cross-cutting run knobs as one frozen
         :class:`~repro.runtime.options.RunOptions` (``jobs``, ``window``,
         ``checkpoint_every``, fault-boundary tuning, telemetry
-        collector).  The individual keyword spellings below still work
-        for one release but emit a ``DeprecationWarning``.
-    checkpoint_every / retry_policy / seed_budget_seconds / jobs / window:
-        Deprecated spellings of the corresponding ``options`` fields.
+        collector).
     generate_fn / measure_fn:
         Pluggable seams for the app generator and the candidate sweep
         (used by the fault-injection harness); defaults are the real
@@ -332,11 +324,7 @@ def run_phase1(group: ModelGroup,
     """
     if per_class_target <= 0:
         raise ValueError("per_class_target must be positive")
-    options = resolve_run_options(
-        options, jobs=jobs, window=window,
-        checkpoint_every=checkpoint_every, retry_policy=retry_policy,
-        seed_budget_seconds=seed_budget_seconds,
-    )
+    options = options or RunOptions()
     checkpoint_every = options.checkpoint_every
     retry_policy = options.retry_policy
     seed_budget_seconds = options.seed_budget_seconds

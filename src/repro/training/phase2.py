@@ -43,7 +43,7 @@ from repro.runtime.faults import (
     classify,
     run_guarded,
 )
-from repro.runtime.options import RunOptions, resolve_run_options
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import (
     TaskFailure,
     map_ordered,
@@ -159,20 +159,14 @@ def run_phase2(phase1: Phase1Result,
                resume_from: Phase2Checkpoint | str | Path | None = None,
                checkpoint_path: str | Path | None = None,
                options: RunOptions | None = None,
-               checkpoint_every: int | None = None,
-               retry_policy: RetryPolicy | None = None,
-               seed_budget_seconds: float | None = None,
                generate_fn: Callable | None = None,
                on_fault: Callable[[QuarantineRecord], None] | None = None,
-               jobs: int | None = None,
-               window: int | None = None,
                executor=None,
                ) -> TrainingSet:
     """Algorithm 2: build the training set from recorded seed/DS pairs.
 
     ``resume_from`` / ``checkpoint_path`` and ``options`` /  ``executor``
-    mirror :func:`repro.training.phase1.run_phase1`; the remaining knob
-    keywords are the deprecated spelling of :class:`RunOptions` fields.
+    mirror :func:`repro.training.phase1.run_phase1`.
     A record whose replay fails deterministically is skipped (reported
     through ``on_fault``) instead of aborting the phase.
     """
@@ -182,11 +176,7 @@ def run_phase2(phase1: Phase1Result,
             "Phase II must replay on the same machine Phase I measured "
             f"({phase1.machine_name!r}), got {machine_config.name!r}"
         )
-    options = resolve_run_options(
-        options, jobs=jobs, window=window,
-        checkpoint_every=checkpoint_every, retry_policy=retry_policy,
-        seed_budget_seconds=seed_budget_seconds,
-    )
+    options = options or RunOptions()
     checkpoint_every = options.checkpoint_every
     retry_policy = options.retry_policy
     seed_budget_seconds = options.seed_budget_seconds

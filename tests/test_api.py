@@ -13,12 +13,7 @@ from repro.machine.configs import CORE2
 from repro.models import cache as cache_mod
 from repro.models.validation import ValidationResult
 from repro.runtime.checkpoint import TrainingInterrupted
-from repro.runtime.faults import RetryPolicy
-from repro.runtime.options import (
-    LEGACY_KNOBS,
-    RunOptions,
-    resolve_run_options,
-)
+from repro.runtime.options import RunOptions
 
 TINY = cache_mod.ScaleParams("unit-api", per_class_target=3, max_seeds=60,
                              validation_apps=5, hidden=(8,))
@@ -154,40 +149,44 @@ class TestRunOptions:
         opts = RunOptions(jobs=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_run_options(opts) is opts
-
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            resolved = resolve_run_options(None, jobs=2,
-                                           checkpoint_every=5)
-        assert resolved.jobs == 2
-        assert resolved.checkpoint_every == 5
+            assert api._resolve_options(opts, None) is opts
 
     def test_both_spellings_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_run_options(RunOptions(jobs=2), jobs=4)
+        """A bare knob keyword next to ``options=`` is refused."""
+        from repro.training.phase1 import run_phase1
 
-    def test_entry_points_accept_legacy_kwargs(self):
-        """Every documented legacy knob still resolves."""
-        legacy = dict.fromkeys(LEGACY_KNOBS)
-        legacy.update(jobs=1, retry_policy=RetryPolicy(retries=1,
-                                                       backoff=0.0))
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_run_options(None, **legacy)
-        assert resolved.jobs == 1
-        assert resolved.retry_policy.retries == 1
+        with pytest.raises(TypeError, match="jobs"):
+            run_phase1(None, None, CORE2, options=RunOptions(jobs=2),
+                       jobs=4)
 
     def test_unknown_knob_raises_the_same_typeerror_contract(self):
         """An unrecognised keyword fails the same way whether it rides
         alone or alongside ``options=`` — a ``TypeError`` naming the
-        offender and the valid knobs."""
-        with pytest.raises(TypeError, match="unknown run option.*jbos"):
-            resolve_run_options(None, jbos=4)
-        with pytest.raises(TypeError, match="jbos.*valid knobs.*jobs"):
-            resolve_run_options(RunOptions(jobs=2), jbos=4)
-        # Unknown wins over both-spellings: diagnose the typo first.
-        with pytest.raises(TypeError, match="unknown run option"):
-            resolve_run_options(RunOptions(jobs=2), jbos=4, jobs=1)
+        offender.  The bare knob spellings that ``options`` replaced
+        are unrecognised keywords too."""
+        from repro.models.brainy import BrainySuite
+        from repro.models.cache import (
+            get_or_build_dataset,
+            get_or_train_suite,
+        )
+        from repro.training.phase1 import run_phase1
+        from repro.training.phase2 import run_phase2
+
+        entry_points = [
+            lambda **kw: run_phase1(None, None, CORE2, **kw),
+            lambda **kw: run_phase2(None, None, CORE2, **kw),
+            lambda **kw: BrainySuite.train(CORE2, **kw),
+            lambda **kw: get_or_build_dataset("set", CORE2, **kw),
+            lambda **kw: get_or_train_suite(CORE2, **kw),
+        ]
+        for knob in ("jbos", "jobs", "checkpoint_every"):
+            for call in entry_points:
+                with pytest.raises(TypeError, match=knob):
+                    call(**{knob: 4})
+                with pytest.raises(TypeError, match=knob):
+                    call(options=RunOptions(jobs=2), **{knob: 4})
+        with pytest.raises(TypeError, match="jbos"):
+            RunOptions(jbos=4)
 
     def test_serving_knobs_have_real_defaults(self):
         """Serving knobs default in RunOptions itself (unlike the

@@ -17,7 +17,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -37,11 +37,7 @@ from repro.core.report import Report
 from repro.machine import make_machine
 from repro.machine.configs import CORE2
 from repro.models import BrainySuite
-from repro.runtime.options import (
-    KNOWN_KNOBS,
-    RunOptions,
-    resolve_run_options,
-)
+from repro.runtime.options import RunOptions
 
 
 def degraded_advisor() -> BrainyAdvisor:
@@ -308,7 +304,7 @@ class TestDarwinKnobs:
     def test_knobs_are_known_run_options(self):
         for knob in ("darwin_generations", "darwin_population",
                      "darwin_objectives"):
-            assert knob in KNOWN_KNOBS
+            assert knob in {f.name for f in fields(RunOptions)}
 
     @pytest.mark.parametrize("changes,message", [
         (dict(darwin_generations=0), "darwin_generations must be >= 1"),
@@ -335,21 +331,6 @@ class TestDarwinKnobs:
                            match="valid objectives: cycles, memory"):
             RunOptions(
                 darwin_objectives=("heap",)).validate_darwin()
-
-    def test_resolve_run_options_accepts_darwin_knobs(self):
-        with pytest.warns(DeprecationWarning, match="darwin_generations"):
-            options = resolve_run_options(None, darwin_generations=5)
-        assert options.darwin_generations == 5
-
-    def test_resolve_run_options_rejects_both_spellings(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_run_options(RunOptions(), darwin_generations=5)
-
-    def test_resolve_run_options_names_valid_knobs_on_typo(self):
-        with pytest.raises(TypeError) as excinfo:
-            resolve_run_options(None, darwin_gens=5)
-        assert "darwin_gens" in str(excinfo.value)
-        assert "darwin_generations" in str(excinfo.value)
 
 
 class TestApiDarwin:

@@ -7,6 +7,7 @@ from repro.appgen.config import GeneratorConfig
 from repro.containers.registry import MODEL_GROUPS
 from repro.machine.configs import CORE2
 from repro.models.brainy import BrainySuite
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import SerialExecutor
 
 GROUPS = [MODEL_GROUPS["vector_oo"], MODEL_GROUPS["set"]]
@@ -53,7 +54,7 @@ class TestSuiteFanout:
     def test_group_fanout_matches_serial(self, serial_bytes, tmp_path):
         """jobs=2 with two groups overlaps whole group pipelines; the
         saved suite must be byte-identical to the serial run's."""
-        fanned = train_suite(jobs=2)
+        fanned = train_suite(options=RunOptions(jobs=2))
         assert suite_bytes(fanned, tmp_path) == serial_bytes
 
     def test_single_group_routes_jobs_inward(self, serial_bytes,
@@ -61,7 +62,8 @@ class TestSuiteFanout:
         """With one group there is nothing to overlap at the group
         level; jobs goes to the per-seed fan-out instead — still
         byte-identical per group."""
-        fanned = train_suite(groups=GROUPS[:1], jobs=2)
+        fanned = train_suite(groups=GROUPS[:1],
+                             options=RunOptions(jobs=2))
         fanned_bytes = suite_bytes(fanned, tmp_path)
         name = f"{GROUPS[0].name}.json"
         assert fanned_bytes[name] == serial_bytes[name]
@@ -70,6 +72,6 @@ class TestSuiteFanout:
         """A group pipeline that dies executor-side is retrained in the
         parent; the suite still comes out byte-identical."""
         flaky = FlakyExecutor(fail_submissions={0})
-        fanned = train_suite(jobs=2, executor=flaky)
+        fanned = train_suite(options=RunOptions(jobs=2), executor=flaky)
         assert flaky.count == len(GROUPS)
         assert suite_bytes(fanned, tmp_path) == serial_bytes

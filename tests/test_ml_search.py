@@ -11,8 +11,6 @@ Covers the api_redesign guarantees:
   search space and is byte-identical across ``jobs``.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -115,6 +113,17 @@ LEGACY_CONFIGS = [
 ]
 
 
+def _adapter_kwargs(config):
+    """The frozen loop's numeric tuning knobs as strategy objects."""
+    kwargs = dict(config)
+    ancestry = TournamentAncestry(kwargs.pop("tournament", 3))
+    crossover = UniformCrossover(kwargs.pop("crossover_rate", 0.7))
+    mutation = GaussianMutation(rate=kwargs.pop("mutation_rate", 0.15),
+                                sigma=kwargs.pop("mutation_sigma", 0.25))
+    return dict(kwargs, ancestry=ancestry, crossover=crossover,
+                mutation=mutation)
+
+
 class TestAdapterByteIdentity:
     """The refactored adapter vs the frozen pre-refactor loop."""
 
@@ -123,11 +132,8 @@ class TestAdapterByteIdentity:
         expected = _FrozenLegacySelector(6, NAMES,
                                          **config).run(_linear_fitness)
         for jobs in (None, 2):
-            with warnings.catch_warnings():
-                # Legacy tuning keywords now emit a DeprecationWarning;
-                # identity of the result is what is under test here.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                selector = GeneticFeatureSelector(6, NAMES, **config)
+            selector = GeneticFeatureSelector(6, NAMES,
+                                              **_adapter_kwargs(config))
             result = selector.run(_linear_fitness, jobs=jobs)
             assert _ga_key(result) == expected, (config, jobs)
 

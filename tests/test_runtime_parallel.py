@@ -24,6 +24,7 @@ from repro.runtime.faults import (
     RetryPolicy,
 )
 from repro.runtime.inject import FaultInjector, FaultPlan
+from repro.runtime.options import RunOptions
 from repro.runtime.parallel import (
     SerialExecutor,
     TaskFailure,
@@ -238,7 +239,7 @@ class TestParallelSerialEquivalence:
 
     def test_phase1_jobs4_matches_serial(self, serial_phase1, tmp_path):
         parallel = run_phase1(GROUP, CONFIG, CORE2,
-                              **phase1_kwargs(jobs=4))
+                              **phase1_kwargs(options=RunOptions(jobs=4)))
         serial_phase1.save(tmp_path / "serial.json")
         parallel.save(tmp_path / "parallel.json")
         assert (tmp_path / "serial.json").read_bytes() \
@@ -246,7 +247,8 @@ class TestParallelSerialEquivalence:
 
     def test_phase2_jobs4_matches_serial(self, serial_phase1, tmp_path):
         baseline = run_phase2(serial_phase1, CONFIG, CORE2)
-        parallel = run_phase2(serial_phase1, CONFIG, CORE2, jobs=4)
+        parallel = run_phase2(serial_phase1, CONFIG, CORE2,
+                              options=RunOptions(jobs=4))
         baseline.save(tmp_path / "serial.json")
         parallel.save(tmp_path / "parallel.json")
         assert (tmp_path / "serial.json").read_bytes() \
@@ -256,11 +258,12 @@ class TestParallelSerialEquivalence:
         """Injected deterministic faults under fan-out land in the same
         quarantine slots a serial run produces."""
         plan = FaultPlan(rng_seed=2, p_deterministic_generate=0.3)
-        kwargs = phase1_kwargs(retry_policy=NO_WAIT)
+        kwargs = phase1_kwargs()
 
         serial = run_phase1(
             GROUP, CONFIG, CORE2,
-            generate_fn=FaultInjector(plan).wrap_generate(), **kwargs,
+            generate_fn=FaultInjector(plan).wrap_generate(),
+            options=RunOptions(retry_policy=NO_WAIT), **kwargs,
         )
         assert serial.quarantined
         # Injector closures are stateful, so the fan-out variant runs on
@@ -268,7 +271,8 @@ class TestParallelSerialEquivalence:
         fanned = run_phase1(
             GROUP, CONFIG, CORE2,
             generate_fn=FaultInjector(plan).wrap_generate(),
-            executor=SerialExecutor(), jobs=4, **kwargs,
+            executor=SerialExecutor(),
+            options=RunOptions(retry_policy=NO_WAIT, jobs=4), **kwargs,
         )
         serial.save(tmp_path / "serial.json")
         fanned.save(tmp_path / "fanned.json")
@@ -290,11 +294,13 @@ class TestParallelSerialEquivalence:
                        **phase1_kwargs(
                            checkpoint_path=ckpt,
                            generate_fn=injector.wrap_generate(),
-                           executor=SerialExecutor(), jobs=4,
+                           executor=SerialExecutor(),
+                           options=RunOptions(jobs=4),
                        ))
         assert ckpt.exists()
         resumed = run_phase1(GROUP, CONFIG, CORE2,
-                             **phase1_kwargs(resume_from=ckpt, jobs=2))
+                             **phase1_kwargs(resume_from=ckpt,
+                                             options=RunOptions(jobs=2)))
         serial_phase1.save(tmp_path / "serial.json")
         resumed.save(tmp_path / "resumed.json")
         assert (tmp_path / "serial.json").read_bytes() \
@@ -308,7 +314,7 @@ class TestParallelSerialEquivalence:
             result = run_phase1(
                 GROUP, CONFIG, CORE2,
                 generate_fn=injector.wrap_generate(),
-                **phase1_kwargs(jobs=4),
+                **phase1_kwargs(options=RunOptions(jobs=4)),
             )
         assert len(result) > 0
 
@@ -318,10 +324,12 @@ import sys
 from repro.appgen.config import GeneratorConfig
 from repro.containers.registry import MODEL_GROUPS
 from repro.machine.configs import CORE2
+from repro.runtime.options import RunOptions
 from repro.training.phase1 import run_phase1
 
 result = run_phase1(MODEL_GROUPS["set"], GeneratorConfig.small(), CORE2,
-                    per_class_target=2, max_seeds=16, jobs=4)
+                    per_class_target=2, max_seeds=16,
+                    options=RunOptions(jobs=4))
 result.save(sys.argv[1])
 """
 

@@ -26,6 +26,7 @@ from repro.models.cache import (
 from repro.runtime.checkpoint import TrainingInterrupted
 from repro.runtime.faults import RetryPolicy
 from repro.runtime.inject import FaultInjector, FaultPlan
+from repro.runtime.options import RunOptions
 from repro.training.phase1 import Phase1Result, run_phase1
 from repro.training.phase2 import run_phase2
 
@@ -87,7 +88,7 @@ class TestPhase1Resume:
         plan = FaultPlan(rng_seed=5, p_transient_generate=0.2,
                          p_deterministic_measure=0.1,
                          transient_failures=1)
-        kwargs = phase1_kwargs(retry_policy=NO_WAIT)
+        kwargs = phase1_kwargs(options=RunOptions(retry_policy=NO_WAIT))
 
         inj_a = FaultInjector(plan)
         uninterrupted = run_phase1(
@@ -144,7 +145,7 @@ class TestPhase1Resume:
     def test_checkpoint_every_requires_path(self):
         with pytest.raises(ValueError, match="checkpoint_path"):
             run_phase1(GROUP, CONFIG, CORE2,
-                       **phase1_kwargs(checkpoint_every=5))
+                       **phase1_kwargs(options=RunOptions(checkpoint_every=5)))
 
 
 class TestPhase1Quarantine:
@@ -153,7 +154,7 @@ class TestPhase1Quarantine:
         injector = FaultInjector(plan)
         result = run_phase1(GROUP, CONFIG, CORE2,
                             generate_fn=injector.wrap_generate(),
-                            **phase1_kwargs(retry_policy=NO_WAIT))
+                            **phase1_kwargs(options=RunOptions(retry_policy=NO_WAIT)))
         assert result.quarantined
         assert all(q.category == "deterministic"
                    for q in result.quarantined)
@@ -165,7 +166,7 @@ class TestPhase1Quarantine:
         injector = FaultInjector(plan)
         result = run_phase1(GROUP, CONFIG, CORE2,
                             generate_fn=injector.wrap_generate(),
-                            **phase1_kwargs(retry_policy=NO_WAIT))
+                            **phase1_kwargs(options=RunOptions(retry_policy=NO_WAIT)))
         path = tmp_path / "p1.json"
         result.save(path)
         loaded = Phase1Result.load(path)
@@ -207,7 +208,7 @@ class TestPhase2Resume:
 
         ts = run_phase2(phase1_result, CONFIG, CORE2,
                         generate_fn=broken_generate,
-                        retry_policy=NO_WAIT,
+                        options=RunOptions(retry_policy=NO_WAIT),
                         on_fault=faults.append)
         assert len(ts) == len(phase1_result) - 1
         assert victim not in ts.seeds
@@ -275,12 +276,13 @@ class TestSuiteLevelResume:
                             injector.wrap_generate(real_generate))
         with pytest.raises(TrainingInterrupted):
             get_or_train_suite(CORE2, TINY, config=config,
-                               checkpoint_every=3)
+                               options=RunOptions(checkpoint_every=3))
         ckpt_dir = cache_mod.checkpoint_dir(CORE2, TINY)
         assert any(ckpt_dir.iterdir())
         monkeypatch.setattr(phase1_mod, "generate_app", real_generate)
         suite = get_or_train_suite(CORE2, TINY, config=config,
-                                   checkpoint_every=3, resume=True)
+                                   options=RunOptions(checkpoint_every=3),
+                                   resume=True)
         assert set(suite.models) == set(MODEL_GROUPS)
         # Successful training cleans its checkpoints up.
         assert not any(ckpt_dir.glob("*.json"))
