@@ -57,7 +57,7 @@ from repro.runtime import (
 )
 from repro.training import TrainingSet, run_phase1, run_phase2
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 from repro import api
 from repro.api import (

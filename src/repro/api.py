@@ -224,7 +224,7 @@ def advise(app: str,
            *,
            options: RunOptions | None = None,
            jobs: int | None = None,
-            telemetry: str | Path | None = None) -> Report:
+           telemetry: str | Path | None = None) -> Report:
     """Profile a case-study application and report replacements.
 
     Trains (or loads) the suite for ``machine``/``scale`` first, then
@@ -264,7 +264,7 @@ def darwin(app: str,
            population: int | None = None,
            objectives: tuple[str, ...] | None = None,
            seed: int = 0,
-            resume: bool = False,
+           resume: bool = False,
            checkpoint: str | Path | None = None,
            checkpoint_every: int | None = None,
            budget_seconds: float | None = None,
@@ -373,7 +373,7 @@ def validate(group: str | ModelGroup = "vector_oo",
              seed_base: int = 500_000,
              options: RunOptions | None = None,
              jobs: int | None = None,
-                telemetry: str | Path | None = None) -> ValidationResult:
+             telemetry: str | Path | None = None) -> ValidationResult:
     """The Figure 9 protocol: fresh apps, empirical best vs prediction."""
     machine = resolve_machine(machine)
     scale = resolve_scale(scale)
@@ -526,7 +526,7 @@ def pipeline(machine: str | MachineConfig = "core2",
              workdir: str | Path | None = None,
              options: RunOptions | None = None,
              jobs: int | None = None,
-                fault_spec: str | None = None,
+             fault_spec: str | None = None,
              telemetry: str | Path | None = None,
              announce=None):
     """One unattended retraining cycle: appgen → train → validate →
@@ -651,7 +651,7 @@ class AppgenProbe:
 def appgen_probe(seed: int,
                  group: str | ModelGroup = "vector_oo",
                  machine: str | MachineConfig = "core2",
-                 config: str | Path | GeneratorConfig | None = None,
+                 config: str | Path | GeneratorConfig | None = None
                  ) -> AppgenProbe:
     """Generate one synthetic app and measure every legal candidate."""
     group = resolve_group(group)

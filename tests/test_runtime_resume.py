@@ -154,7 +154,8 @@ class TestPhase1Quarantine:
         injector = FaultInjector(plan)
         result = run_phase1(GROUP, CONFIG, CORE2,
                             generate_fn=injector.wrap_generate(),
-                            **phase1_kwargs(options=RunOptions(retry_policy=NO_WAIT)))
+                            options=RunOptions(retry_policy=NO_WAIT),
+                            **phase1_kwargs())
         assert result.quarantined
         assert all(q.category == "deterministic"
                    for q in result.quarantined)
@@ -166,7 +167,8 @@ class TestPhase1Quarantine:
         injector = FaultInjector(plan)
         result = run_phase1(GROUP, CONFIG, CORE2,
                             generate_fn=injector.wrap_generate(),
-                            **phase1_kwargs(options=RunOptions(retry_policy=NO_WAIT)))
+                            options=RunOptions(retry_policy=NO_WAIT),
+                            **phase1_kwargs())
         path = tmp_path / "p1.json"
         result.save(path)
         loaded = Phase1Result.load(path)
